@@ -10,8 +10,15 @@
 //!   linear merge with no hashing at query time;
 //! * numerical vectors have a fixed per-graph dimensionality and are
 //!   normalized once at build time.
+//!
+//! The interner is the one piece that no query or edit ever needs a
+//! private copy of, so [`NodeAttributes`] holds it behind an [`Arc`]:
+//! restrictions, induced subgraphs, projections and
+//! [`crate::MutableGraph`] snapshots all share their parent's dictionary
+//! instead of cloning every token string.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Interns textual attribute tokens (e.g. `"movie"`, `"crime"`) to dense
 /// `u32` ids, bidirectionally.
@@ -62,6 +69,11 @@ impl TokenInterner {
 /// Flat per-node attribute storage shared by homogeneous and heterogeneous
 /// graphs.
 ///
+/// Cost: the token dictionary is an `Arc<TokenInterner>` shared with every
+/// graph derived from this one, so induced subgraphs, projections and
+/// snapshots copy only the per-node token ids and numeric rows — a
+/// constant number of allocations, none per node and none per token.
+///
 /// Invariants (enforced by [`crate::GraphBuilder`]):
 /// * `token_offsets.len() == n + 1` and each node's token slice is sorted
 ///   and deduplicated;
@@ -69,7 +81,7 @@ impl TokenInterner {
 ///   dimension min-max scaled into `[0, 1]`.
 #[derive(Clone, Debug)]
 pub struct NodeAttributes {
-    pub(crate) interner: TokenInterner,
+    pub(crate) interner: Arc<TokenInterner>,
     pub(crate) token_offsets: Vec<usize>,
     pub(crate) tokens: Vec<u32>,
     pub(crate) dims: usize,
@@ -127,7 +139,23 @@ impl NodeAttributes {
     /// to 0).
     pub(crate) fn from_rows(
         interner: TokenInterner,
-        token_rows: Vec<Vec<u32>>,
+        mut token_rows: Vec<Vec<u32>>,
+        dims: usize,
+        numeric: Vec<f64>,
+    ) -> Self {
+        for row in &mut token_rows {
+            row.sort_unstable();
+            row.dedup();
+        }
+        Self::from_sorted_rows(Arc::new(interner), &token_rows, dims, numeric)
+    }
+
+    /// [`from_rows`](NodeAttributes::from_rows) for token lists that are
+    /// already sorted and deduplicated: flattens them straight into the
+    /// token arena and shares `interner` as is.
+    pub(crate) fn from_sorted_rows(
+        interner: Arc<TokenInterner>,
+        token_rows: &[Vec<u32>],
         dims: usize,
         numeric: Vec<f64>,
     ) -> Self {
@@ -135,11 +163,10 @@ impl NodeAttributes {
         debug_assert_eq!(numeric.len(), n * dims);
         let mut token_offsets = Vec::with_capacity(n + 1);
         token_offsets.push(0usize);
-        let mut tokens = Vec::new();
-        for mut row in token_rows {
-            row.sort_unstable();
-            row.dedup();
-            tokens.extend_from_slice(&row);
+        let mut tokens = Vec::with_capacity(token_rows.iter().map(Vec::len).sum());
+        for row in token_rows {
+            debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "unsorted token row");
+            tokens.extend_from_slice(row);
             token_offsets.push(tokens.len());
         }
 
@@ -197,7 +224,7 @@ impl NodeAttributes {
             normalized.extend_from_slice(self.numeric_normalized(v));
         }
         NodeAttributes {
-            interner: self.interner.clone(),
+            interner: Arc::clone(&self.interner),
             token_offsets,
             tokens,
             dims: self.dims,
@@ -282,6 +309,14 @@ mod tests {
         assert_eq!(sub.tokens(0), &[] as &[u32]);
         assert_eq!(sub.tokens(1), &[0, 1]);
         assert_eq!(sub.numeric_raw(0), &[10.0, 30.0]);
+    }
+
+    #[test]
+    fn restriction_shares_the_interner() {
+        let attrs = sample_attrs();
+        let sub = attrs.restrict(&[1]);
+        assert!(Arc::ptr_eq(&sub.interner, &attrs.interner));
+        assert_eq!(sub.interner().get("c"), Some(2));
     }
 
     #[test]

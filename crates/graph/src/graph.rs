@@ -2,7 +2,6 @@
 
 use crate::attrs::{NodeAttributes, TokenInterner};
 use crate::NodeId;
-use std::collections::HashMap;
 
 /// An undirected homogeneous graph with node attributes (paper Def. 1).
 ///
@@ -152,6 +151,10 @@ impl AttributedGraph {
     /// duplicates are an error in debug builds). Attribute normalization is
     /// inherited from `self`, so distances computed in the induced graph
     /// equal those in the parent.
+    ///
+    /// Cost: `O(|nodes| log |nodes| + vol(nodes))` plus one `O(n)` fill of
+    /// the local-id table, in a constant number of allocations; the token
+    /// dictionary is shared, not copied.
     pub fn induced(&self, nodes: &[NodeId]) -> InducedSubgraph {
         let mut sorted: Vec<NodeId> = nodes.to_vec();
         sorted.sort_unstable();
@@ -159,25 +162,8 @@ impl AttributedGraph {
             sorted.windows(2).all(|w| w[0] != w[1]),
             "duplicate node in induced()"
         );
-        let mut from_original: HashMap<NodeId, NodeId> = HashMap::with_capacity(sorted.len());
-        for (new_id, &orig) in sorted.iter().enumerate() {
-            from_original.insert(orig, new_id as NodeId);
-        }
-
-        let mut offsets = Vec::with_capacity(sorted.len() + 1);
-        offsets.push(0usize);
-        let mut targets = Vec::new();
-        for &orig in &sorted {
-            for &w in self.neighbors(orig) {
-                if let Some(&new_w) = from_original.get(&w) {
-                    targets.push(new_w);
-                }
-            }
-            // Neighbor lists of the parent are sorted by original id; the
-            // remapping is monotone, so the new lists stay sorted.
-            offsets.push(targets.len());
-        }
-
+        let (offsets, targets) =
+            remap_rows(self.n(), &sorted, |v| self.neighbors(v).iter().copied());
         let attrs = self.attrs.restrict(&sorted);
         InducedSubgraph {
             graph: AttributedGraph {
@@ -186,26 +172,69 @@ impl AttributedGraph {
                 attrs,
             },
             to_original: sorted,
-            from_original,
         }
     }
 }
 
-/// A materialized induced subgraph along with its id mappings.
+/// CSR rows of the subgraph on `nodes` — sorted, distinct ids of a parent
+/// graph with `parent_n` nodes. Row `i` holds the local ids (positions in
+/// `nodes`) of those `neighbors(nodes[i])` that are themselves in `nodes`.
+///
+/// The remap goes through one dense local-id table rather than a hash map.
+/// It is monotone, so parent rows sorted by original id stay sorted. This
+/// is the one remap behind [`AttributedGraph::induced`] and both
+/// [`crate::HeteroGraph`] projections.
+pub(crate) fn remap_rows<I>(
+    parent_n: usize,
+    nodes: &[NodeId],
+    mut neighbors: impl FnMut(NodeId) -> I,
+) -> (Vec<usize>, Vec<NodeId>)
+where
+    I: IntoIterator<Item = NodeId>,
+{
+    const ABSENT: NodeId = NodeId::MAX;
+    let mut local = vec![ABSENT; parent_n];
+    for (i, &v) in nodes.iter().enumerate() {
+        local[v as usize] = i as NodeId;
+    }
+    let mut offsets = Vec::with_capacity(nodes.len() + 1);
+    offsets.push(0usize);
+    let mut targets = Vec::new();
+    for &v in nodes {
+        targets.extend(
+            neighbors(v)
+                .into_iter()
+                .map(|w| local[w as usize])
+                .filter(|&l| l != ABSENT),
+        );
+        offsets.push(targets.len());
+    }
+    (offsets, targets)
+}
+
+/// Position of `original` in the ascending `to_original`, i.e. its local
+/// id in a subgraph or projection.
+pub(crate) fn local_id(to_original: &[NodeId], original: NodeId) -> Option<NodeId> {
+    to_original
+        .binary_search(&original)
+        .ok()
+        .map(|i| i as NodeId)
+}
+
+/// A materialized induced subgraph along with its id mapping.
 #[derive(Clone, Debug)]
 pub struct InducedSubgraph {
     /// The subgraph, with dense ids `0..to_original.len()`.
     pub graph: AttributedGraph,
     /// `to_original[new_id] = original_id` (sorted ascending).
     pub to_original: Vec<NodeId>,
-    /// Inverse of `to_original`.
-    pub from_original: HashMap<NodeId, NodeId>,
 }
 
 impl InducedSubgraph {
-    /// Maps an original-graph node id into the subgraph, if present.
+    /// Maps an original-graph node id into the subgraph, if present
+    /// (a binary search over [`to_original`](InducedSubgraph::to_original)).
     pub fn local(&self, original: NodeId) -> Option<NodeId> {
-        self.from_original.get(&original).copied()
+        local_id(&self.to_original, original)
     }
 
     /// Maps a subgraph node id back to the original graph.
@@ -223,7 +252,7 @@ impl InducedSubgraph {
 
 #[cfg(test)]
 mod tests {
-    use crate::GraphBuilder;
+    use crate::{GraphBuilder, NodeId};
 
     /// Builds the 5-cycle 0-1-2-3-4-0 with a chord 1-3.
     fn cycle_with_chord() -> crate::AttributedGraph {
@@ -315,6 +344,26 @@ mod tests {
         assert_eq!(sub.original(l1), 1);
         assert_eq!(sub.local(0), None);
         assert_eq!(sub.originals(&[l3, l1]), vec![1, 3]);
+    }
+
+    #[test]
+    fn induced_subgraph_round_trips_ids_and_shares_the_interner() {
+        let g = cycle_with_chord();
+        let sub = g.induced(&[4, 0, 2]);
+        for (local, &original) in sub.to_original.iter().enumerate() {
+            assert_eq!(sub.local(original), Some(local as NodeId));
+            assert_eq!(sub.original(local as NodeId), original);
+        }
+        for absent in [1, 3, 5, NodeId::MAX] {
+            assert_eq!(sub.local(absent), None, "node {absent}");
+        }
+        assert!(std::sync::Arc::ptr_eq(
+            &sub.graph.attrs.interner,
+            &g.attrs.interner
+        ));
+        let empty = g.induced(&[]);
+        assert_eq!(empty.graph.n(), 0);
+        assert_eq!(empty.local(0), None);
     }
 
     #[test]

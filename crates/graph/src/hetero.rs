@@ -8,9 +8,8 @@
 
 use crate::attrs::{NodeAttributes, TokenInterner};
 use crate::bitset::FixedBitSet;
-use crate::graph::AttributedGraph;
+use crate::graph::{local_id, remap_rows, AttributedGraph};
 use crate::NodeId;
-use std::collections::HashMap;
 
 /// Dense node-type identifier.
 pub type NodeTypeId = u32;
@@ -218,33 +217,7 @@ impl HeteroGraph {
             "projection requires a symmetric meta-path (source type == end type)"
         );
         let targets_of_type = self.nodes_of_type(path.source_type());
-        let mut from_original: HashMap<NodeId, NodeId> =
-            HashMap::with_capacity(targets_of_type.len());
-        for (i, &v) in targets_of_type.iter().enumerate() {
-            from_original.insert(v, i as NodeId);
-        }
-
-        let mut offsets = Vec::with_capacity(targets_of_type.len() + 1);
-        offsets.push(0usize);
-        let mut adj = Vec::new();
-        for &v in &targets_of_type {
-            for w in self.p_neighbors(v, path) {
-                adj.push(from_original[&w]);
-            }
-            offsets.push(adj.len());
-        }
-
-        let attrs = self.attrs.restrict(&targets_of_type);
-        let graph = AttributedGraph {
-            offsets,
-            targets: adj,
-            attrs,
-        };
-        ProjectedGraph {
-            graph,
-            to_original: targets_of_type,
-            from_original,
-        }
+        self.project_sorted(path, targets_of_type)
     }
 
     /// Like [`project`](HeteroGraph::project) but restricted to the target
@@ -262,31 +235,22 @@ impl HeteroGraph {
             .collect();
         nodes.sort_unstable();
         nodes.dedup();
-        let mut from_original: HashMap<NodeId, NodeId> = HashMap::with_capacity(nodes.len());
-        for (i, &v) in nodes.iter().enumerate() {
-            from_original.insert(v, i as NodeId);
-        }
-        let mut offsets = Vec::with_capacity(nodes.len() + 1);
-        offsets.push(0usize);
-        let mut adj = Vec::new();
-        for &v in &nodes {
-            for w in self.p_neighbors(v, path) {
-                if let Some(&lw) = from_original.get(&w) {
-                    adj.push(lw);
-                }
-            }
-            offsets.push(adj.len());
-        }
+        self.project_sorted(path, nodes)
+    }
+
+    /// The P-projection onto `nodes` (sorted, distinct, all of the path's
+    /// source type): P-neighbor rows remapped to local ids, attributes
+    /// restricted with inherited normalization.
+    fn project_sorted(&self, path: &MetaPath, nodes: Vec<NodeId>) -> ProjectedGraph {
+        let (offsets, targets) = remap_rows(self.n(), &nodes, |v| self.p_neighbors(v, path));
         let attrs = self.attrs.restrict(&nodes);
-        let graph = AttributedGraph {
-            offsets,
-            targets: adj,
-            attrs,
-        };
         ProjectedGraph {
-            graph,
+            graph: AttributedGraph {
+                offsets,
+                targets,
+                attrs,
+            },
             to_original: nodes,
-            from_original,
         }
     }
 }
@@ -299,14 +263,13 @@ pub struct ProjectedGraph {
     pub graph: AttributedGraph,
     /// `to_original[local] = original` (ascending).
     pub to_original: Vec<NodeId>,
-    /// Inverse mapping.
-    pub from_original: HashMap<NodeId, NodeId>,
 }
 
 impl ProjectedGraph {
-    /// Maps an original node id to its projected id, if it is a target node.
+    /// Maps an original node id to its projected id, if it is a target node
+    /// (a binary search over [`to_original`](ProjectedGraph::to_original)).
     pub fn local(&self, original: NodeId) -> Option<NodeId> {
-        self.from_original.get(&original).copied()
+        local_id(&self.to_original, original)
     }
 
     /// Maps a projected id back to the original graph.
@@ -512,6 +475,29 @@ mod tests {
         // a3's only P-neighbor a2 is outside the subset.
         assert_eq!(proj.graph.m(), 1);
         assert_eq!(proj.local(authors[2]), None);
+    }
+
+    #[test]
+    fn projections_round_trip_ids_and_share_the_interner() {
+        let (g, apa, authors) = dblp_toy();
+        let papers = g.nodes_of_type(g.node_type_id("paper").unwrap());
+        let full = g.project(&apa);
+        let subset = g.project_subset(&apa, &[authors[3], papers[0], authors[1]]);
+        assert_eq!(subset.to_original, vec![authors[1], authors[3]]);
+        for proj in [&full, &subset] {
+            for (local, &original) in proj.to_original.iter().enumerate() {
+                assert_eq!(proj.local(original), Some(local as NodeId));
+                assert_eq!(proj.original(local as NodeId), original);
+            }
+            for &absent in papers.iter().chain([&(g.n() as NodeId)]) {
+                assert_eq!(proj.local(absent), None, "node {absent}");
+            }
+            assert!(std::sync::Arc::ptr_eq(
+                &proj.graph.attrs.interner,
+                &g.attrs.interner
+            ));
+        }
+        assert_eq!(subset.local(authors[0]), None, "outside the subset");
     }
 
     #[test]

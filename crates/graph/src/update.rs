@@ -8,7 +8,9 @@
 //! [`MutableGraph::snapshot`] rebuilds an immutable [`AttributedGraph`]
 //! (fresh CSR, fresh min-max normalization — exactly what
 //! [`crate::GraphBuilder::build`] would produce from the same rows) for
-//! publication. The engine's `GraphStore` owns one working copy per
+//! publication. The token dictionary is shared between the working copy
+//! and every snapshot, and copied only when an edit brings a token it has
+//! never seen. The engine's `GraphStore` owns one working copy per
 //! store, applies update batches to it, and hands the snapshot of each
 //! epoch to queries.
 //!
@@ -23,6 +25,7 @@ use crate::attrs::{NodeAttributes, TokenInterner};
 use crate::builder::GraphError;
 use crate::graph::AttributedGraph;
 use crate::NodeId;
+use std::sync::Arc;
 
 /// One edit to an attributed graph.
 ///
@@ -232,11 +235,17 @@ pub enum Applied {
 /// Holds per-node sorted adjacency vectors plus the raw attribute rows,
 /// so edits are local: an edge toggle costs `O(deg(u) + deg(v))`, an
 /// attribute replacement `O(|row|)`. [`MutableGraph::snapshot`]
-/// rematerializes the immutable CSR graph in `O(n + m)`.
+/// rematerializes the immutable CSR graph in `O(n + m)` time and a
+/// constant number of allocations: it flattens the rows straight into the
+/// CSR arenas and shares the token dictionary with an `Arc` clone.
+///
+/// The dictionary is copy-on-write: interning a token the dictionary
+/// already holds is a lookup, and only a never-seen token copies it, so
+/// published snapshots never see tokens interned after them.
 #[derive(Clone, Debug)]
 pub struct MutableGraph {
     adj: Vec<Vec<NodeId>>,
-    interner: TokenInterner,
+    interner: Arc<TokenInterner>,
     token_rows: Vec<Vec<u32>>,
     dims: usize,
     numeric: Vec<f64>,
@@ -251,7 +260,7 @@ impl MutableGraph {
         let token_rows: Vec<Vec<u32>> = (0..n as NodeId).map(|v| g.tokens(v).to_vec()).collect();
         MutableGraph {
             adj,
-            interner: g.interner().clone(),
+            interner: Arc::clone(&g.attrs.interner),
             token_rows,
             dims: g.attrs().dims(),
             numeric: (0..n as NodeId)
@@ -284,6 +293,21 @@ impl MutableGraph {
     /// Whether the undirected edge `{u, v}` exists.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.adj[u as usize].binary_search(&v).is_ok()
+    }
+
+    /// Sorted, deduplicated token ids of `tokens`, interning new ones
+    /// copy-on-write (see the type docs).
+    fn token_row(&mut self, tokens: &[String]) -> Vec<u32> {
+        let mut row: Vec<u32> = tokens
+            .iter()
+            .map(|t| match self.interner.get(t) {
+                Some(id) => id,
+                None => Arc::make_mut(&mut self.interner).intern(t),
+            })
+            .collect();
+        row.sort_unstable();
+        row.dedup();
+        row
     }
 
     fn check_node(&self, node: NodeId) -> Result<(), GraphError> {
@@ -345,9 +369,7 @@ impl MutableGraph {
             GraphUpdate::AddVertex { tokens, numeric } => {
                 let id = self.n() as NodeId;
                 self.check_dims(id, numeric)?;
-                let mut row: Vec<u32> = tokens.iter().map(|t| self.interner.intern(t)).collect();
-                row.sort_unstable();
-                row.dedup();
+                let row = self.token_row(tokens);
                 self.adj.push(Vec::new());
                 self.token_rows.push(row);
                 self.numeric.extend_from_slice(numeric);
@@ -359,11 +381,7 @@ impl MutableGraph {
                     self.check_dims(*v, row)?;
                 }
                 if let Some(tokens) = tokens {
-                    let mut row: Vec<u32> =
-                        tokens.iter().map(|t| self.interner.intern(t)).collect();
-                    row.sort_unstable();
-                    row.dedup();
-                    self.token_rows[*v as usize] = row;
+                    self.token_rows[*v as usize] = self.token_row(tokens);
                 }
                 if let Some(row) = numeric {
                     let base = *v as usize * self.dims;
@@ -388,9 +406,9 @@ impl MutableGraph {
             targets.extend_from_slice(row);
             offsets.push(targets.len());
         }
-        let attrs = NodeAttributes::from_rows(
-            self.interner.clone(),
-            self.token_rows.clone(),
+        let attrs = NodeAttributes::from_sorted_rows(
+            Arc::clone(&self.interner),
+            &self.token_rows,
             self.dims,
             self.numeric.clone(),
         );
@@ -499,6 +517,59 @@ mod tests {
             }
             assert_eq!(names(&snap, v), names(&fresh, v), "tokens of {v}");
         }
+    }
+
+    #[test]
+    fn snapshots_share_the_interner_until_a_new_token_arrives() {
+        let g = sample();
+        let mut m = MutableGraph::from_graph(&g);
+        let before = m.snapshot();
+        assert!(Arc::ptr_eq(&before.attrs.interner, &g.attrs.interner));
+
+        // Known tokens only: still shared, no copy.
+        m.apply(&GraphUpdate::SetAttributes {
+            v: 2,
+            tokens: Some(vec!["crime".into(), "movie".into()]),
+            numeric: None,
+        })
+        .unwrap();
+        let same_dictionary = m.snapshot();
+        assert!(Arc::ptr_eq(
+            &same_dictionary.attrs.interner,
+            &g.attrs.interner
+        ));
+
+        // A never-seen token copies the dictionary for the working copy;
+        // published snapshots keep theirs unchanged.
+        m.apply(&GraphUpdate::AddVertex {
+            tokens: vec!["drama".into(), "movie".into()],
+            numeric: vec![4.0],
+        })
+        .unwrap();
+        let after = m.snapshot();
+        assert!(!Arc::ptr_eq(&after.attrs.interner, &before.attrs.interner));
+        for old in [&g, &before, &same_dictionary] {
+            assert_eq!(old.interner().len(), 3);
+            assert_eq!(old.interner().get("drama"), None);
+        }
+        assert_eq!(after.interner().len(), 4);
+        let drama = after.interner().get("drama").unwrap();
+        assert_eq!(drama, 3, "new tokens take the next id");
+        for name in ["movie", "crime", "tv"] {
+            assert_eq!(
+                after.interner().get(name),
+                before.interner().get(name),
+                "existing id of {name} is stable"
+            );
+        }
+        let movie = before.interner().get("movie").unwrap();
+        assert_eq!(after.tokens(3), &[movie, drama]);
+
+        // Later snapshots share the copied dictionary again.
+        assert!(Arc::ptr_eq(
+            &m.snapshot().attrs.interner,
+            &after.attrs.interner
+        ));
     }
 
     #[test]

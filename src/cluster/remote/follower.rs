@@ -381,9 +381,13 @@ fn run_session(
             if epoch > shared.store.published_epoch() || !shared.synced.load(Ordering::Acquire) {
                 let graph = csag_graph::io::read_graph(&bytes[..])
                     .map_err(|e| format!("unreadable snapshot: {e}"))?;
-                shared.store.reset_to(Arc::new(graph), epoch);
-                shared.synced.store(true, Ordering::Release);
-                shared.snapshots_received.fetch_add(1, Ordering::Relaxed);
+                // The flag and the count land together with the epoch:
+                // a waiter that sees the epoch sees both, and neither
+                // shows before the snapshot's state is readable.
+                shared.store.reset_to_with(Arc::new(graph), epoch, || {
+                    shared.synced.store(true, Ordering::Release);
+                    shared.snapshots_received.fetch_add(1, Ordering::Relaxed);
+                });
             }
             send_ack(&writer, shared.store.published_epoch())?;
         }
@@ -454,7 +458,11 @@ fn frame_loop(
         // Replaying an erroneous batch reproduces the same published
         // prefix the primary saw — replication semantics, not a
         // failure.
-        let _ = shared.store.apply(&record.updates);
+        // The count lands together with the record's epoch, as with
+        // snapshots above.
+        let _ = shared.store.apply_with(&record.updates, || {
+            shared.records_applied.fetch_add(1, Ordering::Relaxed);
+        });
         if shared.store.published_epoch() != record.epoch {
             return Err(format!(
                 "applying record {} left the store at epoch {}",
@@ -462,7 +470,6 @@ fn frame_loop(
                 shared.store.published_epoch()
             ));
         }
-        shared.records_applied.fetch_add(1, Ordering::Relaxed);
         send_ack(writer, record.epoch)?;
     }
 }

@@ -60,8 +60,11 @@ pub(crate) struct ReplicaState {
     /// Test/bench seam: additionally stop heartbeating while paused,
     /// so `Router::health_check` sees a silent replica.
     pub(crate) silenced: AtomicBool,
-    /// Test/bench seam: fail the next apply (induced replica failure).
-    pub(crate) fail_next: AtomicBool,
+    /// Test/bench seam: fail the record of this epoch (induced replica
+    /// failure); 0 when none is armed. An epoch rather than "the next
+    /// record", so a record still queued from an earlier write cannot
+    /// take the failure meant for a later one.
+    pub(crate) fail_epoch: AtomicU64,
 }
 
 impl ReplicaState {
@@ -79,7 +82,7 @@ impl ReplicaState {
             outstanding: Arc::new(AtomicU64::new(0)),
             paused: AtomicBool::new(false),
             silenced: AtomicBool::new(false),
-            fail_next: AtomicBool::new(false),
+            fail_epoch: AtomicU64::new(0),
         }
     }
 
@@ -126,7 +129,11 @@ pub(crate) fn replica_loop(state: Arc<ReplicaState>, rx: mpsc::Receiver<ReplicaM
 }
 
 fn apply_record(state: &ReplicaState, record: LogRecord) {
-    if state.fail_next.swap(false, Ordering::Relaxed) {
+    if state
+        .fail_epoch
+        .compare_exchange(record.epoch, 0, Ordering::Relaxed, Ordering::Relaxed)
+        .is_ok()
+    {
         state.apply_errors.fetch_add(1, Ordering::Relaxed);
         state.status.set_health(ReplicaHealth::Degraded);
         return;

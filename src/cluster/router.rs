@@ -615,14 +615,18 @@ impl Router {
         self.replicas[i].state.paused.store(true, Ordering::Relaxed);
     }
 
-    /// Test/bench seam: replica `i` fails its next apply (an induced
-    /// replica failure: it degrades and leaves the read rotation until
-    /// reseeded).
+    /// Test/bench seam: replica `i` fails to apply the record of the
+    /// next write (an induced replica failure: it degrades and leaves the
+    /// read rotation until reseeded). Records of earlier writes that the
+    /// replica has not yet consumed still apply normally.
     pub fn induce_failure(&self, i: usize) {
+        // Under the write lock, no batch can publish between reading the
+        // epoch and arming the failure for the one after it.
+        let _guard = self.write.lock().unwrap_or_else(PoisonError::into_inner);
         self.replicas[i]
             .state
-            .fail_next
-            .store(true, Ordering::Relaxed);
+            .fail_epoch
+            .store(self.primary.published_epoch() + 1, Ordering::Relaxed);
     }
 
     /// Picks the least-loaded healthy replica whose watermark has

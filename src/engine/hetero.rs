@@ -30,16 +30,14 @@ use csag_core::hetero_cs::SeaHetero;
 use csag_graph::{HeteroGraph, MetaPath, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The lazily materialized projection: a homogeneous [`Engine`] plus the
-/// id maps between original and projection-local node ids.
+/// ascending original id of every projection-local node.
 struct Projected {
     engine: Engine,
     to_original: Vec<NodeId>,
-    from_original: HashMap<NodeId, NodeId>,
 }
 
 impl Projected {
@@ -48,7 +46,6 @@ impl Projected {
         Projected {
             engine: Engine::new(projection.graph),
             to_original: projection.to_original,
-            from_original: projection.from_original,
         }
     }
 }
@@ -208,7 +205,11 @@ impl HeteroEngine {
     /// Maps an original node id to its projection-local id, if it is a
     /// target-type node. Forces the projection.
     pub fn local(&self, original: NodeId) -> Option<NodeId> {
-        self.projected().from_original.get(&original).copied()
+        let to_original = &self.projected().to_original;
+        to_original
+            .binary_search(&original)
+            .ok()
+            .map(|i| i as NodeId)
     }
 
     /// Maps a projection-local id back to the original graph. Forces the

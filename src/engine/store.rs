@@ -31,6 +31,13 @@
 //!   | `SetAttributes` that shifts a min-max normalization range | all (every normalized coordinate may have moved) |
 //!   | `AddVertex` | all (tables are sized to `n`) |
 //!
+//! * **The token dictionary** (`Arc<TokenInterner>`) is shared by the
+//!   working copy and every epoch's graph. A batch copies it only when
+//!   it brings a token the dictionary has never seen; every other batch
+//!   reuses the same `Arc`. The rest of the snapshot (CSR arrays, token
+//!   ids, numeric rows and their normalization) is rebuilt in
+//!   `O(n + m)` time but a constant number of allocations, none per node.
+//!
 //! The [`UpdateReport`] returned by [`GraphStore::apply`] counts exactly
 //! what was retained and invalidated, and the churn tests pin the
 //! "carried bit-for-bit" case with `Arc::ptr_eq`.
@@ -434,6 +441,20 @@ impl GraphStore {
     /// desynchronize the store from its own log; durable stores must go
     /// through [`GraphStore::recover`] instead.
     pub fn reset_to(&self, graph: Arc<AttributedGraph>, epoch: u64) {
+        self.reset_to_with(graph, epoch, || {});
+    }
+
+    /// [`GraphStore::reset_to`], running `on_publish` under the publish
+    /// watermark's lock just before the epoch moves: whatever it records
+    /// (the follower's `synced` flag and snapshot count) is visible to
+    /// every thread that observes the new epoch, and to none before the
+    /// new state is readable.
+    pub(crate) fn reset_to_with(
+        &self,
+        graph: Arc<AttributedGraph>,
+        epoch: u64,
+        on_publish: impl FnOnce(),
+    ) {
         assert!(
             self.wal.is_none(),
             "reset_to on a WAL-backed store would desynchronize it from its log"
@@ -450,11 +471,20 @@ impl GraphStore {
             Vec::new(),
         );
         *self.current.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(engine);
+        self.publish(epoch, on_publish);
+    }
+
+    /// Moves the publish watermark to `epoch` (never backwards) and wakes
+    /// every waiter. Called only after the epoch's engine swapped in, so
+    /// a woken waiter snapshotting immediately sees (at least) this
+    /// epoch; `on_publish` runs under the watermark lock first.
+    fn publish(&self, epoch: u64, on_publish: impl FnOnce()) {
         let mut published = self
             .watch
             .epoch
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
+        on_publish();
         *published = (*published).max(epoch);
         self.watch.published.notify_all();
     }
@@ -542,6 +572,18 @@ impl GraphStore {
     /// * [`ApplyError::DurabilityUnavailable`] — the WAL append failed;
     ///   nothing was applied.
     pub fn apply(&self, updates: &[GraphUpdate]) -> Result<UpdateReport, ApplyError> {
+        self.apply_with(updates, || {})
+    }
+
+    /// [`GraphStore::apply`], running `on_publish` under the publish
+    /// watermark's lock just before the new epoch becomes visible (see
+    /// [`GraphStore::reset_to_with`]). It does not run when the batch is
+    /// rejected without a publish.
+    pub(crate) fn apply_with(
+        &self,
+        updates: &[GraphUpdate],
+        on_publish: impl FnOnce(),
+    ) -> Result<UpdateReport, ApplyError> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(wal) = &self.wal {
             // Write-ahead: the batch must be durable before any effect
@@ -654,18 +696,7 @@ impl GraphStore {
             carried,
         ));
         *self.current.write().unwrap_or_else(PoisonError::into_inner) = engine;
-
-        // Signal subscribers only after the engine swap: a woken waiter
-        // snapshotting immediately must see (at least) this epoch.
-        {
-            let mut published = self
-                .watch
-                .epoch
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            *published = state.epoch;
-            self.watch.published.notify_all();
-        }
+        self.publish(state.epoch, on_publish);
 
         match first_error {
             Some(e) => Err(ApplyError::Graph(e)),
